@@ -615,7 +615,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
         "compile" | "cycles" => {
             let opts = parse_opts(&args[2..])?;
             let src = read_source(&opts)?;
-            build_request(op, &opts, src)?
+            build_request(op, &opts, src)
         }
         other => {
             return Err(format!(
@@ -632,16 +632,14 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
 }
 
 /// Builds a serve-protocol request from the CLI's common options.
-fn build_request(op: &str, opts: &Opts, src: String) -> Result<matic_isa::json::Json, String> {
+fn build_request(op: &str, opts: &Opts, src: String) -> matic_isa::json::Json {
     use matic_isa::json::Json;
-    let target = matic_isa::json::parse(&opts.target.to_json())
-        .map_err(|e| format!("internal: target spec does not round-trip: {e}"))?;
     let mut fields = vec![
         ("op".to_string(), Json::Str(op.to_string())),
         ("source".to_string(), Json::Str(src)),
         ("entry".to_string(), Json::Str(opts.entry.clone())),
         ("sig".to_string(), Json::Str(opts.sig_raw.clone())),
-        ("target".to_string(), target),
+        ("target".to_string(), opts.target.to_doc()),
     ];
     match op {
         "compile" => fields.push(("baseline".to_string(), Json::Bool(opts.baseline))),
@@ -652,7 +650,7 @@ fn build_request(op: &str, opts: &Opts, src: String) -> Result<matic_isa::json::
             fields.push(("profile".to_string(), Json::Bool(opts.profile)));
         }
     }
-    Ok(Json::Obj(fields))
+    Json::Obj(fields)
 }
 
 /// Prints a response: raw payload text for compile/cycles (so output can

@@ -22,8 +22,10 @@ fn string(s: &str) -> Json {
 }
 
 fn winner_json(w: &Winner) -> Json {
-    let spec_doc = parse(&w.spec.to_json()).expect("spec serializes to valid JSON");
-    let mut fields = vec![("name".into(), string(&w.name)), ("spec".into(), spec_doc)];
+    let mut fields = vec![
+        ("name".into(), string(&w.name)),
+        ("spec".into(), w.spec.to_doc()),
+    ];
     if let Some(f) = &w.fused {
         fields.push((
             "fused".into(),
@@ -180,7 +182,7 @@ pub fn validate_discover_json(text: &str) -> Result<(), String> {
             .as_str()
             .ok_or_else(|| format!("{wctx}: `name` must be a string"))?;
         let spec_doc = require(winner, "spec", &wctx)?;
-        matic_isa::IsaSpec::from_json(&spec_doc.pretty())
+        matic_isa::IsaSpec::from_doc(spec_doc)
             .map_err(|e| format!("{wctx}: embedded spec does not rebuild: {e}"))?;
         let cycles = require(winner, "cycles", &wctx)?
             .as_u64()

@@ -118,8 +118,17 @@ impl AreaModel {
     ///
     /// Returns a message naming the malformed field.
     pub fn from_json(text: &str) -> Result<AreaModel, String> {
-        let doc = parse(text)?;
-        let Json::Obj(fields) = &doc else {
+        AreaModel::from_doc(&parse(text)?)
+    }
+
+    /// Builds and validates a model from a parsed JSON document, with the
+    /// same checks and messages as [`AreaModel::from_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the malformed field.
+    pub fn from_doc(doc: &Json) -> Result<AreaModel, String> {
+        let Json::Obj(fields) = doc else {
             return Err("area model must be a JSON object".to_string());
         };
         for (key, _) in fields {

@@ -275,12 +275,8 @@ pub fn validate_explore_json(text: &str) -> Result<ExploreSummary, String> {
     if get_num(&doc, "fuel")? <= 0.0 {
         return Err("fuel must be positive".to_string());
     }
-    crate::AreaModel::from_json(
-        &doc.get("area_model")
-            .ok_or("missing `area_model`")?
-            .pretty(),
-    )
-    .map_err(|e| format!("area_model: {e}"))?;
+    crate::AreaModel::from_doc(doc.get("area_model").ok_or("missing `area_model`")?)
+        .map_err(|e| format!("area_model: {e}"))?;
 
     let grid = doc.get("grid").ok_or("missing `grid`")?;
     let names: Vec<&str> = get_arr(grid, "candidates")?
@@ -407,12 +403,8 @@ pub fn resume_config(text: &str) -> Result<crate::runner::ExploreConfig, String>
     if fuel <= 0.0 {
         return Err("fuel must be positive".to_string());
     }
-    let area = crate::AreaModel::from_json(
-        &doc.get("area_model")
-            .ok_or("missing `area_model`")?
-            .pretty(),
-    )
-    .map_err(|e| format!("area_model: {e}"))?;
+    let area = crate::AreaModel::from_doc(doc.get("area_model").ok_or("missing `area_model`")?)
+        .map_err(|e| format!("area_model: {e}"))?;
 
     let grid = doc.get("grid").ok_or("missing `grid`")?;
     let nums = |key: &str| -> Result<Vec<f64>, String> {

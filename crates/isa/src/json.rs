@@ -6,6 +6,7 @@
 //! parser, and a pretty printer that matches the `serde_json` layout the
 //! spec files were originally written in (2-space indent, `"key": value`).
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Objects keep insertion order so specs render with
@@ -147,15 +148,25 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a frame of `[[[[…` overflows the
+/// thread's stack; committed documents nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document, requiring that the whole input is consumed.
+///
+/// Runs in time linear in the input. Arrays and objects may nest at most
+/// 128 levels deep; deeper input is an error, not a stack overflow.
 ///
 /// # Errors
 ///
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -167,8 +178,11 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -197,8 +211,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return self.err(&format!("nesting deeper than {MAX_DEPTH} levels"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -220,6 +245,9 @@ impl Parser<'_> {
     fn object(&mut self) -> Result<Json, String> {
         self.eat(b'{')?;
         let mut fields = Vec::new();
+        // Keys seen so far: a hash set keeps the duplicate check linear
+        // in the key count.
+        let mut seen = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -228,7 +256,7 @@ impl Parser<'_> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
+            if !seen.insert(key.clone()) {
                 return self.err(&format!("duplicate key `{key}` in object"));
             }
             self.skip_ws();
@@ -275,13 +303,22 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or
+            // backslash in one slice: both are ASCII, so the run ends on
+            // a char boundary of the `&str` input.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // A backslash: decode one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -292,33 +329,43 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return self.err("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return self.err("bad escape"),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8".to_string())?;
-                    let Some(c) = s.chars().next() else {
-                        return self.err("unterminated string");
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `pos`, leaving `pos`
+    /// on its last hex digit. A UTF-16 high surrogate directly followed by
+    /// a `\u` low surrogate decodes as one character; an unpaired
+    /// surrogate decodes as U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4(self.pos + 1)?;
+        self.pos += 4;
+        if (0xD800..0xDC00).contains(&hi) && self.bytes[self.pos + 1..].starts_with(b"\\u") {
+            if let Ok(lo @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                self.pos += 6;
+                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                return Ok(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+        }
+        Ok(char::from_u32(hi).unwrap_or('\u{fffd}'))
+    }
+
+    /// The value of the four hex digits starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let Some(digits) = self.bytes.get(at..at + 4) else {
+            return self.err("truncated \\u escape");
+        };
+        digits.iter().try_fold(0, |acc, &d| {
+            let v = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| "bad \\u escape".to_string())?;
+            Ok((acc << 4) | v)
+        })
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -375,6 +422,86 @@ mod tests {
         // Nested objects are checked too; sibling objects may repeat keys.
         assert!(parse("{\"a\": {\"k\": 1, \"k\": 2}}").is_err());
         assert!(parse("{\"a\": {\"k\": 1}, \"b\": {\"k\": 2}}").is_ok());
+    }
+
+    #[test]
+    fn large_objects_round_trip_and_still_reject_duplicates() {
+        let fields: Vec<(String, Json)> = (0..64_000)
+            .map(|i| (format!("k{i}"), Json::Num(i as f64)))
+            .collect();
+        let doc = Json::Obj(fields);
+        let text = doc.pretty();
+        assert_eq!(parse(&text).unwrap(), doc);
+
+        // A repeat among many keys is reported with the same text (and
+        // offset) as in a small object.
+        let dup = text.replacen("\"k63999\"", "\"k5\"", 1);
+        let at = dup.find("\"k5\": 63999").unwrap() + "\"k5\"".len();
+        assert_eq!(
+            parse(&dup).unwrap_err(),
+            format!("duplicate key `k5` in object at byte {at}")
+        );
+        let small = "{\"a\": 1, \"b\": 2, \"a\": 3}";
+        assert_eq!(
+            parse(small).unwrap_err(),
+            "duplicate key `a` in object at byte 20"
+        );
+    }
+
+    #[test]
+    fn large_multibyte_and_escaped_strings_round_trip() {
+        let s: String = "aé€😀\"\\\n\t\u{1}/"
+            .chars()
+            .cycle()
+            .take(200_000)
+            .collect();
+        let doc = Json::Arr(vec![Json::Str(s), Json::Str(String::new())]);
+        assert_eq!(parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(
+            parse(r#""é\/\b\f""#).unwrap(),
+            Json::Str("é/\u{8}\u{c}".into())
+        );
+        assert_eq!(parse(r#""ab\q""#).unwrap_err(), "bad escape at byte 4");
+        assert_eq!(
+            parse(r#""\u12"#).unwrap_err(),
+            "truncated \\u escape at byte 2"
+        );
+        assert_eq!(parse(r#""\u12g4""#).unwrap_err(), "bad \\u escape");
+        assert_eq!(parse("\"abc").unwrap_err(), "unterminated string at byte 4");
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_become_replacement() {
+        // What Python's json.dumps sends for U+1F600.
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Json::Str("😀".into()));
+        assert_eq!(
+            parse(r#""x\ud834\udd1ey""#).unwrap(),
+            Json::Str("x\u{1D11E}y".into())
+        );
+        let jstr = |s: &str| Json::Str(s.into());
+        assert_eq!(parse(r#""\ud83d""#).unwrap(), jstr("\u{fffd}"));
+        assert_eq!(parse(r#""\ude00""#).unwrap(), jstr("\u{fffd}"));
+        assert_eq!(parse(r#""\ud83dx""#).unwrap(), jstr("\u{fffd}x"));
+        // A high surrogate followed by a non-surrogate escape keeps both.
+        assert_eq!(parse(r#""\ud83d\u0041""#).unwrap(), jstr("\u{fffd}A"));
+        assert_eq!(
+            parse(r#""\ud83d\ud83d\ude00""#).unwrap(),
+            jstr("\u{fffd}😀")
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // Far deeper than any thread stack could recurse: still an error.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{\"a\": ".repeat(1 << 16)).is_err());
     }
 
     #[test]

@@ -275,6 +275,12 @@ impl IsaSpec {
     /// Serializes the spec to pretty JSON (the on-disk target format:
     /// adding a processor is a data change, not a code change).
     pub fn to_json(&self) -> String {
+        self.to_doc().pretty()
+    }
+
+    /// The spec as a JSON document, for embedding in larger documents
+    /// without a trip through text.
+    pub fn to_doc(&self) -> Json {
         let cost_fields: Vec<(String, Json)> = self
             .costs
             .costs
@@ -302,7 +308,6 @@ impl IsaSpec {
                 Json::Str(self.intrinsic_prefix.clone()),
             ),
         ])
-        .pretty()
     }
 
     /// Parses a spec from JSON. All fields are required; unknown cost keys
@@ -312,7 +317,16 @@ impl IsaSpec {
     ///
     /// Returns a message describing the malformed or missing field.
     pub fn from_json(text: &str) -> Result<IsaSpec, String> {
-        let doc = json::parse(text)?;
+        IsaSpec::from_doc(&json::parse(text)?)
+    }
+
+    /// Builds and validates a spec from a parsed JSON document, with the
+    /// same checks and messages as [`IsaSpec::from_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message describing the malformed or missing field.
+    pub fn from_doc(doc: &Json) -> Result<IsaSpec, String> {
         let str_field = |key: &str| -> Result<String, String> {
             doc.get(key)
                 .and_then(Json::as_str)

@@ -14,15 +14,26 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to `addr` (e.g. `127.0.0.1:9123`).
+    /// Connects to `addr` (e.g. `127.0.0.1:9123`) with `TCP_NODELAY` set,
+    /// so a request frame is sent at once instead of waiting out the
+    /// server's delayed ACK.
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect(addr: &str) -> io::Result<Client> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
+    }
+
+    /// Whether the connection has `TCP_NODELAY` set.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket-option query's failure.
+    pub fn nodelay(&self) -> io::Result<bool> {
+        self.stream.nodelay()
     }
 
     /// Sends one request and blocks for its response envelope.

@@ -318,11 +318,7 @@ fn resolve_target(field: Option<&Json>) -> Result<IsaSpec, Failure> {
                 .find(|s| &s.name == name)
                 .ok_or_else(|| Failure::protocol(format!("unknown builtin target `{name}`")))
         }
-        Some(doc @ Json::Obj(_)) => {
-            let spec = IsaSpec::from_json(&doc.pretty()).map_err(Failure::protocol)?;
-            spec.validate().map_err(Failure::protocol)?;
-            Ok(spec)
-        }
+        Some(doc @ Json::Obj(_)) => IsaSpec::from_doc(doc).map_err(Failure::protocol),
         Some(_) => Err(Failure::protocol(
             "field `target` must be a builtin name or a spec object",
         )),

@@ -1,10 +1,15 @@
 //! Wire protocol: length-prefixed JSON frames over TCP.
 //!
 //! Every message — request or response — is one *frame*: a big-endian
-//! `u32` byte count followed by exactly that many bytes of UTF-8 JSON.
-//! Length-prefixing keeps the reader trivial (no streaming JSON
-//! tokenizer, no delimiter escaping) and lets the server reject an
-//! oversized request *before* buffering it.
+//! `u32` byte count followed by exactly that many bytes of UTF-8 JSON,
+//! laid out by [`Json::pretty`]. Length-prefixing keeps the reader
+//! trivial (no streaming JSON tokenizer, no delimiter escaping) and lets
+//! the server reject an oversized request *before* buffering it.
+//!
+//! A frame goes out in a single write, and both ends set `TCP_NODELAY`.
+//! Sending the prefix and the payload as two small writes would leave the
+//! payload queued behind Nagle's algorithm until the peer's delayed ACK
+//! (~40 ms) — on every message, in each direction.
 //!
 //! Requests are JSON objects with an `"op"` field (`ping`, `stats`,
 //! `compile`, `cycles`, `explore`); responses are envelopes:
@@ -54,7 +59,8 @@ pub fn read_frame(r: &mut impl Read, limit: u32) -> io::Result<Json> {
     parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad JSON: {e}")))
 }
 
-/// Writes one frame (compact length-prefixed JSON) and flushes.
+/// Writes one frame (length prefix, then [`Json::pretty`] text) with a
+/// single `write_all` and flushes.
 ///
 /// # Errors
 ///
@@ -66,8 +72,10 @@ pub fn write_frame(w: &mut impl Write, doc: &Json) -> io::Result<()> {
         .ok()
         .filter(|&n| n <= MAX_FRAME_BYTES)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame too large to send"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(text.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + text.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(text.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -170,6 +178,39 @@ mod tests {
         write_frame(&mut buf, &doc).expect("write");
         let back = read_frame(&mut buf.as_slice(), MAX_FRAME_BYTES).expect("read");
         assert_eq!(back, doc);
+    }
+
+    /// Counts `write` calls and keeps what they wrote.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_prefix_and_pretty_payload() {
+        let doc = obj(vec![
+            ("op", Json::Str("compile".into())),
+            ("source", Json::Str("x".repeat(100_000))),
+        ]);
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &doc).expect("write");
+        assert_eq!(w.writes, 1);
+        let text = doc.pretty();
+        assert_eq!(w.bytes[..4], (text.len() as u32).to_be_bytes());
+        assert_eq!(&w.bytes[4..], text.as_bytes());
     }
 
     #[test]

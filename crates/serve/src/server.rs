@@ -185,6 +185,8 @@ fn worker_loop(index: usize, shared: &WorkerShared, state: &ServeState) {
 /// Answers frames on one connection until the peer hangs up or sends a
 /// frame the protocol cannot recover from.
 fn serve_connection(mut stream: TcpStream, state: &ServeState) {
+    // Responses go out as soon as they are written (see `protocol`).
+    let _ = stream.set_nodelay(true);
     loop {
         let req = match read_frame(&mut stream, state.budgets.max_frame_bytes) {
             Ok(req) => req,

@@ -361,3 +361,85 @@ fn malformed_and_oversized_frames_get_protocol_errors() {
     assert!(message.contains("exceeds"), "{message}");
     server.shutdown();
 }
+
+#[test]
+fn deeply_nested_frame_gets_a_protocol_error_and_the_server_survives() {
+    use std::io::Write;
+    let server = spawn();
+    // Far deeper than a worker's stack could recurse on.
+    let payload = "[".repeat(10_000);
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .write_all(&(payload.len() as u32).to_be_bytes())
+        .unwrap();
+    stream.write_all(payload.as_bytes()).unwrap();
+    let resp = matic_serve::protocol::read_frame(&mut stream, 1 << 20).expect("error frame");
+    let (kind, message, _) = error_of(&resp);
+    assert_eq!(kind, "protocol");
+    assert!(message.contains("nesting deeper than"), "{message}");
+
+    let mut client = connect(&server);
+    let resp = client
+        .request(&parse(r#"{"op": "ping"}"#).unwrap())
+        .unwrap();
+    assert_eq!(
+        result(&resp).get("pong").and_then(Json::as_bool),
+        Some(true)
+    );
+    server.shutdown();
+}
+
+#[test]
+fn client_connections_disable_nagle() {
+    let server = spawn();
+    let client = connect(&server);
+    assert!(client.nodelay().expect("query TCP_NODELAY"));
+    server.shutdown();
+}
+
+/// A kernel whose generated C is larger than 64 KiB.
+fn large_c_source() -> String {
+    let mut src = String::from("function y = big(x)\ny = x;\n");
+    for i in 1..=600 {
+        src.push_str(&format!("y = y .* {i} + x;\n"));
+    }
+    src.push_str("end");
+    src
+}
+
+#[test]
+fn sequential_round_trips_do_not_stall() {
+    // Each round trip that waits out a delayed ACK costs ~40-80 ms, so
+    // 100 stalled round trips take seconds; unstalled ones take
+    // milliseconds once the first compile is cached.
+    let server = spawn();
+    let mut client = connect(&server);
+    let big = obj(&[
+        ("op", s("compile")),
+        ("source", s(&large_c_source())),
+        ("entry", s("big")),
+        ("sig", s("v64")),
+    ]);
+    let first = client.request(&big).unwrap();
+    let c_len = result(&first)
+        .get("c")
+        .and_then(Json::as_str)
+        .unwrap()
+        .len();
+    assert!(
+        c_len > 64 << 10,
+        "compile response too small: {c_len} bytes"
+    );
+    let ping = parse(r#"{"op": "ping"}"#).unwrap();
+    let start = std::time::Instant::now();
+    for i in 0..100 {
+        let req = if i % 10 == 0 { &big } else { &ping };
+        result(&client.request(req).unwrap());
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "100 round trips took {elapsed:?}"
+    );
+    server.shutdown();
+}
