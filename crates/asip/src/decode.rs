@@ -1,5 +1,5 @@
-//! The decode stage: structured MIR → linear pre-resolved instruction
-//! streams.
+//! The decode stage: structured MIR → flat pre-resolved instruction
+//! streams, the input of the native engine's fusion pass (`fuse.rs`).
 //!
 //! The tree-walking executor re-dispatches on nested `Stmt` enums and
 //! re-derives control flow (loop trip counts, break/continue propagation
@@ -9,15 +9,19 @@
 //! pre-resolved `if_false` target, `For`/`While` become a setup instruction
 //! plus a back-edge, and `break`/`continue`/`return` become direct jumps.
 //! Destination scalar-ness (`scalar_dst`) is pre-computed from the
-//! function's type table so the hot loop never consults it.
+//! function's type table so the hot loop never consults it. Nothing
+//! executes a `DInst` directly: `fuse.rs` compiles each stream into the
+//! native engine's step table.
 //!
 //! The decoded form is execution-equivalent to the tree walk *by
 //! construction*: every instruction charges the same cycles and burns the
-//! same fuel in the same order as `Exec::exec_stmt` would (there is a
-//! differential test pinning this across the whole benchmark suite). One
-//! deliberate divergence: a `break`/`continue` nested inside a `While`
-//! condition block (`cond_defs`) targets the enclosing loop here, whereas
-//! the tree walker silently discards that flow — MIR lowering never emits
+//! same fuel in the same order as `Exec::exec_stmt` would (the engine
+//! differential test pins the native engine built from it against the tree
+//! walker across the whole benchmark suite). One deliberate divergence
+//! between the tree walker and the native engine: a `break`/`continue`
+//! nested inside a `While` condition block (`cond_defs`) targets the
+//! enclosing loop here, and so in the native engine fused from it, whereas
+//! the tree walker silently discards that flow. MIR lowering never emits
 //! control flow inside `cond_defs`, so the case is unreachable from real
 //! programs.
 
@@ -138,7 +142,7 @@ pub struct DecodedFunction {
     pub code: Vec<DInst>,
 }
 
-/// A whole program decoded for linear execution.
+/// A whole program decoded into flat instruction streams.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedProgram {
     /// Decoded bodies, index-parallel to the MIR function list.

@@ -10,9 +10,10 @@
 // no span bookkeeping unless profiling is on.
 //
 // Fusion is a pure representation change: micro-ops burn fuel, charge
-// cycles, and raise errors in exactly the order the linear engine's
-// per-`DInst` handlers would, so outcomes stay bit-identical (pinned by
-// tests/engine_differential.rs and the pipeline fuzzer).
+// cycles, and raise errors in exactly the order the tree walker's
+// `Exec::exec_stmt` would for the statements they came from, so outcomes
+// stay bit-identical (pinned by tests/engine_differential.rs and the
+// pipeline fuzzer).
 
 /// Which simulator implementation executes a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,8 +21,6 @@ pub enum Engine {
     /// The original tree-walking interpreter over structured MIR — the
     /// reference semantics.
     Tree,
-    /// The pre-decoded linear engine (flat `DInst` stream + explicit pc).
-    Linear,
     /// The fused direct-threaded engine (superinstructions + fn-pointer
     /// dispatch) — fastest; the default.
     #[default]
@@ -30,13 +29,12 @@ pub enum Engine {
 
 impl Engine {
     /// All engines, in oracle-to-fastest order.
-    pub const ALL: [Engine; 3] = [Engine::Tree, Engine::Linear, Engine::Native];
+    pub const ALL: [Engine; 2] = [Engine::Tree, Engine::Native];
 
-    /// The CLI name (`tree`, `linear`, `native`).
+    /// The CLI name (`tree`, `native`).
     pub fn name(self) -> &'static str {
         match self {
             Engine::Tree => "tree",
-            Engine::Linear => "linear",
             Engine::Native => "native",
         }
     }
@@ -54,11 +52,8 @@ impl std::str::FromStr for Engine {
     fn from_str(s: &str) -> Result<Engine, String> {
         match s {
             "tree" => Ok(Engine::Tree),
-            "linear" => Ok(Engine::Linear),
             "native" => Ok(Engine::Native),
-            other => Err(format!(
-                "unknown engine `{other}` (expected tree, linear, or native)"
-            )),
+            other => Err(format!("unknown engine `{other}` (expected tree or native)")),
         }
     }
 }

@@ -13,6 +13,12 @@
 //! cycle-count comparison while also producing real numerical outputs
 //! that the test suite checks against the reference interpreter.
 //!
+//! Two engines execute the MIR, selected by [`Engine`]: the tree walker
+//! over structured MIR (the reference semantics) and the native engine,
+//! which decodes ([`decode`]) and fuses ([`fuse_program`]) the program into
+//! a direct-threaded step table (the default). Both produce bit-identical
+//! outputs, cycle reports, errors and fuel-exhaustion points.
+//!
 //! # Examples
 //!
 //! ```
@@ -30,6 +36,8 @@
 //! matic_mir::optimize_program(&mut mir);
 //! matic_vectorize::vectorize_program(&mut mir);
 //!
+//! // One-shot run on the default (native) engine; `machine.load(&mir,
+//! // "dotp")` returns a reusable `Simulator` for repeated runs.
 //! let machine = AsipMachine::new(IsaSpec::dsp16());
 //! let out = machine.run(&mir, "dotp", vec![
 //!     SimVal::row(&[1.0, 2.0, 3.0, 4.0]),

@@ -251,9 +251,10 @@ impl AsipMachine {
 
     /// Runs `entry` of `mir` with `inputs`, returning outputs + cycles.
     ///
-    /// Decodes the program into its linear form first and executes on the
-    /// pre-decoded engine. For repeated invocations of the same program,
-    /// [`AsipMachine::load`] amortizes the decode across runs.
+    /// A one-shot [`AsipMachine::load`] + [`Simulator::run`] on the default
+    /// engine ([`Engine::Native`]). For repeated invocations of the same
+    /// program, keep the [`Simulator`] to amortize decode and fusion
+    /// across runs.
     ///
     /// # Errors
     ///
@@ -265,8 +266,7 @@ impl AsipMachine {
         entry: &str,
         inputs: Vec<SimVal>,
     ) -> Result<SimOutcome, SimError> {
-        let decoded = decode_program(mir);
-        self.run_decoded(mir, &decoded, entry, inputs)
+        self.clone().load(mir, entry).run(inputs)
     }
 
     /// Runs `entry` on the original tree-walking engine (no decode stage).
@@ -320,45 +320,6 @@ impl AsipMachine {
             entry_idx,
         }
     }
-
-    pub(crate) fn run_decoded(
-        &self,
-        mir: &MirProgram,
-        decoded: &DecodedProgram,
-        entry: &str,
-        inputs: Vec<SimVal>,
-    ) -> Result<SimOutcome, SimError> {
-        let idx = decoded
-            .func_index(entry)
-            .ok_or_else(|| SimError::new(format!("entry `{entry}` not found"), Span::dummy()))?;
-        self.run_decoded_at(mir, decoded, idx, inputs)
-    }
-
-    pub(crate) fn run_decoded_at(
-        &self,
-        mir: &MirProgram,
-        decoded: &DecodedProgram,
-        idx: usize,
-        inputs: Vec<SimVal>,
-    ) -> Result<SimOutcome, SimError> {
-        let mut exec = Exec::new(self, mir, Some(decoded));
-        let outputs = exec.call_decoded(&mir.functions[idx], &decoded.funcs[idx], inputs)?;
-        Ok(exec.finish(outputs))
-    }
-
-    pub(crate) fn run_native_at(
-        &self,
-        mir: &MirProgram,
-        decoded: &DecodedProgram,
-        native: &NativeProgram,
-        idx: usize,
-        inputs: Vec<SimVal>,
-    ) -> Result<SimOutcome, SimError> {
-        let mut exec = Exec::new(self, mir, Some(decoded));
-        exec.native = Some(native);
-        let outputs = exec.call_native(&mir.functions[idx], &native.funcs[idx], inputs)?;
-        Ok(exec.finish(outputs))
-    }
 }
 
 /// A machine with a program already decoded and an entry point resolved —
@@ -388,29 +349,25 @@ pub struct Simulator<'m> {
 
 impl<'m> Simulator<'m> {
     /// Runs the loaded entry function with `inputs` on the selected
-    /// [`Engine`] (default [`Engine::Native`]). All engines are bit-exact;
+    /// [`Engine`] (default [`Engine::Native`]). Both engines are bit-exact;
     /// they differ only in speed.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`AsipMachine::run`].
     pub fn run(&self, inputs: Vec<SimVal>) -> Result<SimOutcome, SimError> {
-        if matches!(self.engine, Engine::Tree) {
-            return self.machine.run_interpreted(self.mir, &self.entry, inputs);
-        }
-        let idx = self.entry_idx.ok_or_else(|| {
-            SimError::new(format!("entry `{}` not found", self.entry), Span::dummy())
-        })?;
         match self.engine {
-            Engine::Tree => unreachable!(),
-            Engine::Linear => self
-                .machine
-                .run_decoded_at(self.mir, &self.decoded, idx, inputs),
+            Engine::Tree => self.machine.run_interpreted(self.mir, &self.entry, inputs),
             Engine::Native => {
+                let idx = self.entry_idx.ok_or_else(|| {
+                    SimError::new(format!("entry `{}` not found", self.entry), Span::dummy())
+                })?;
                 let cell = self.shared_native.unwrap_or(&self.native);
                 let native = cell.get_or_init(|| Arc::new(fuse_program(self.mir, &self.decoded)));
-                self.machine
-                    .run_native_at(self.mir, &self.decoded, native, idx, inputs)
+                let mut exec = Exec::new(&self.machine, self.mir, Some((&self.decoded, native)));
+                let outputs =
+                    exec.call_native(&self.mir.functions[idx], &native.funcs[idx], inputs)?;
+                Ok(exec.finish(outputs))
             }
         }
     }
@@ -443,8 +400,8 @@ impl<'m> Simulator<'m> {
     /// Points the simulator at a caller-owned fusion cell. The fused
     /// program is built *lazily*, on the first native-engine run that
     /// needs it, and lands in `cell` so it is shared by every simulator
-    /// handed the same cell — tree/linear-only callers never pay for
-    /// fusion at all.
+    /// handed the same cell — tree-only callers never pay for fusion at
+    /// all.
     pub fn with_native_cell(mut self, cell: &'m OnceLock<Arc<NativeProgram>>) -> Self {
         self.shared_native = Some(cell);
         self
@@ -475,13 +432,11 @@ enum Flow {
 struct Exec<'a> {
     machine: &'a AsipMachine,
     mir: &'a MirProgram,
-    /// `Some` when running on the pre-decoded engine; `None` on the
-    /// tree-walking reference path. Callees dispatch through the same
-    /// engine as their caller.
-    decoded: Option<&'a DecodedProgram>,
-    /// `Some` when running on the fused direct-threaded engine (implies
-    /// `decoded` is also `Some`, for name lookup).
-    native: Option<&'a NativeProgram>,
+    /// `Some` when running on the fused direct-threaded engine: the fused
+    /// program plus the decoded program it was fused from, whose name index
+    /// resolves callees. `None` on the tree-walking reference path.
+    /// Callees dispatch through the same engine as their caller.
+    native: Option<(&'a DecodedProgram, &'a NativeProgram)>,
     // Cycle accounting as flat accumulators (array indexed by
     // `OpClass as usize`); folded into a `CycleReport` once at the end of
     // the run. `touched` marks classes that were charged at least once —
@@ -508,13 +463,12 @@ impl<'a> Exec<'a> {
     fn new(
         machine: &'a AsipMachine,
         mir: &'a MirProgram,
-        decoded: Option<&'a DecodedProgram>,
+        native: Option<(&'a DecodedProgram, &'a NativeProgram)>,
     ) -> Exec<'a> {
         Exec {
             machine,
             mir,
-            decoded,
-            native: None,
+            native,
             total: 0,
             instructions: 0,
             by_class: [0; OpClass::COUNT],
@@ -649,7 +603,23 @@ impl<'a> Exec<'a> {
 
     // ---- function calls ---------------------------------------------------
 
+    /// Calls `func` on the tree walker.
     fn call(&mut self, func: &MirFunction, inputs: Vec<SimVal>) -> Result<Vec<SimVal>, SimError> {
+        self.call_frame(func, inputs, |exec, env| {
+            exec.exec_block(func, &func.body, env).map(drop)
+        })
+    }
+
+    /// The call prologue and epilogue both engines share: depth guard,
+    /// arity check, `Call` charge, parameter coercion, then `body` (the
+    /// engine's runner for `func`'s body), then output collection.
+    #[inline(always)]
+    fn call_frame(
+        &mut self,
+        func: &MirFunction,
+        inputs: Vec<SimVal>,
+        body: impl FnOnce(&mut Self, &mut Env) -> Result<(), SimError>,
+    ) -> Result<Vec<SimVal>, SimError> {
         if self.depth > 128 {
             return Err(SimError::new("call depth exceeded", Span::dummy()));
         }
@@ -676,7 +646,7 @@ impl<'a> Exec<'a> {
             };
             env[p.0 as usize] = Some(coerced);
         }
-        self.exec_block(func, &func.body, &mut env)?;
+        body(self, &mut env)?;
         let mut outs = Vec::new();
         for &o in &func.outputs {
             outs.push(env[o.0 as usize].clone().ok_or_else(|| {
@@ -699,21 +669,15 @@ impl<'a> Exec<'a> {
         inputs: Vec<SimVal>,
         span: Span,
     ) -> Result<Vec<SimVal>, SimError> {
-        match self.decoded {
-            Some(decoded) => {
+        let mir = self.mir;
+        match self.native {
+            Some((decoded, native)) => {
                 let idx = decoded
                     .func_index(name)
                     .ok_or_else(|| SimError::new(format!("call to unknown `{name}`"), span))?;
-                let mir = self.mir;
-                match self.native {
-                    Some(native) => {
-                        self.call_native(&mir.functions[idx], &native.funcs[idx], inputs)
-                    }
-                    None => self.call_decoded(&mir.functions[idx], &decoded.funcs[idx], inputs),
-                }
+                self.call_native(&mir.functions[idx], &native.funcs[idx], inputs)
             }
             None => {
-                let mir = self.mir;
                 let callee = mir
                     .function(name)
                     .ok_or_else(|| SimError::new(format!("call to unknown `{name}`"), span))?;
@@ -948,7 +912,6 @@ impl<'a> Exec<'a> {
     }
 }
 
-include!("sim_linear.rs");
 include!("sim_part2.rs");
 include!("sim_part3.rs");
 include!("fuse.rs");

@@ -9,57 +9,36 @@
 // with the specialization.
 //
 // Bit-exactness contract: every handler burns fuel, charges cycles, and
-// raises errors in exactly the order the linear engine's handlers in
-// sim_linear.rs would. `cur_span` is only ever read by the profiler, so
-// handlers skip the span bookkeeping entirely when profiling is off.
+// raises errors in exactly the order the tree walker's `Exec::exec_stmt`
+// would for the statement it was decoded from. `cur_span` is only ever read
+// by the profiler, so handlers skip the span bookkeeping entirely when
+// profiling is off.
+
+/// Runtime state of one active loop in a native function.
+enum Frame {
+    /// A `for` loop: bounds evaluated once at `ForSetup`, `k` counts
+    /// completed iterations.
+    For {
+        var: VarId,
+        s: f64,
+        st: f64,
+        n: i64,
+        k: i64,
+    },
+    /// A `while` loop (no per-loop state; the frame exists so `break`
+    /// unwinds uniformly).
+    While,
+}
 
 impl<'a> Exec<'a> {
-    /// Calls `f` through its fused body — same prologue/epilogue as
-    /// `call_decoded`.
+    /// Calls `f` through its fused body.
     fn call_native(
         &mut self,
         f: &'a MirFunction,
         nfunc: &'a NativeFunction,
         inputs: Vec<SimVal>,
     ) -> Result<Vec<SimVal>, SimError> {
-        if self.depth > 128 {
-            return Err(SimError::new("call depth exceeded", Span::dummy()));
-        }
-        if inputs.len() != f.params.len() {
-            return Err(SimError::new(
-                format!(
-                    "`{}` expects {} inputs, got {}",
-                    f.name,
-                    f.params.len(),
-                    inputs.len()
-                ),
-                Span::dummy(),
-            ));
-        }
-        self.depth += 1;
-        self.charge(OpClass::Call, 1);
-        let mut env: Env = vec![None; f.vars.len()];
-        for (&p, val) in f.params.iter().zip(inputs) {
-            // Coerce per the register's representation.
-            let coerced = if f.var_ty(p).shape.is_scalar() {
-                SimVal::Scalar(val.as_cx().map_err(|m| SimError::new(m, Span::dummy()))?)
-            } else {
-                SimVal::Arr(val.into_matrix())
-            };
-            env[p.0 as usize] = Some(coerced);
-        }
-        self.exec_native(f, nfunc, &mut env)?;
-        let mut outs = Vec::new();
-        for &o in &f.outputs {
-            outs.push(env[o.0 as usize].clone().ok_or_else(|| {
-                SimError::new(
-                    format!("output `{}` never assigned", f.var(o).name),
-                    Span::dummy(),
-                )
-            })?);
-        }
-        self.depth -= 1;
-        Ok(outs)
+        self.call_frame(f, inputs, |exec, env| exec.exec_native(f, nfunc, env))
     }
 
     fn exec_native(
@@ -102,7 +81,7 @@ fn slot_scalar(env: &Env, op: Operand) -> Result<Option<Cx>, VarId> {
 }
 
 /// The `Def` epilogue: coerce to the destination register's representation
-/// and write the slot (same as the linear engine's `DInst::Def` arm).
+/// and write the slot (same as the tree walker's `Stmt::Def` arm).
 #[inline(always)]
 fn def_finish(env: &mut Env, dst: VarId, scalar_dst: bool, val: SimVal) {
     let val = if scalar_dst {

@@ -2,8 +2,8 @@
 //! itself, not of the code it models.
 //!
 //! Times repeated [`matic::Compiled::simulator`] runs over the whole
-//! benchmark suite at both opt levels and all three execution engines
-//! (tree-walk, linear, native), writing the results to
+//! benchmark suite at both opt levels and both execution engines
+//! (tree-walk, native), writing the results to
 //! `BENCH_simulator.json` (median ns per run, plus simulated-cycles per
 //! host-second as the throughput figure). Simulated cycle counts are
 //! deterministic and must agree across engines; only the host timings
@@ -106,9 +106,7 @@ fn time_cell(bench: &matic_benchkit::Benchmark, opt: OptLevel, label: &'static s
 }
 
 /// Reads the committed baseline's per-cell throughput, keyed by
-/// `bench_opt_engine`. Baselines written before the engine column existed
-/// measured the then-default linear engine, so a missing `engine` field
-/// maps to `linear`. `None` when no baseline exists (first run on a
+/// `bench_opt_engine`. `None` when no baseline exists (first run on a
 /// machine).
 fn read_baseline(path: &str) -> Option<Vec<(String, f64)>> {
     let text = std::fs::read_to_string(path).ok()?;
@@ -121,11 +119,7 @@ fn read_baseline(path: &str) -> Option<Vec<(String, f64)>> {
         .filter_map(|r| {
             let bench = r.get("bench")?.as_str()?;
             let opt = r.get("opt")?.as_str()?;
-            let engine = r
-                .get("engine")
-                .and_then(|e| e.as_str())
-                .unwrap_or("linear")
-                .to_string();
+            let engine = r.get("engine")?.as_str()?;
             let tput = r.get("sim_cycles_per_sec")?.as_f64()?;
             (tput > 0.0).then(|| (format!("{bench}_{opt}_{engine}"), tput))
         })
@@ -201,49 +195,6 @@ fn gate_against_baseline(timings: &[Timing], baseline: &[(String, f64)]) -> Resu
     Ok(())
 }
 
-/// Prints the native engine's speedup per cell against whatever engine the
-/// committed baseline measured (legacy baselines: linear). This is the
-/// headline number for the fused direct-threaded engine.
-fn print_native_speedup(timings: &[Timing], baseline: &[(String, f64)]) {
-    let mut rows = Vec::new();
-    let mut log_sum = 0.0f64;
-    let mut count = 0usize;
-    for t in timings.iter().filter(|t| t.engine == Engine::Native) {
-        let committed = baseline
-            .iter()
-            .find(|(k, _)| *k == format!("{}_{}_linear", t.bench, t.opt))
-            .or_else(|| {
-                baseline
-                    .iter()
-                    .find(|(k, _)| *k == format!("{}_{}_native", t.bench, t.opt))
-            });
-        let Some((_, old)) = committed else { continue };
-        let ratio = t.cycles_per_sec / old;
-        log_sum += ratio.ln();
-        count += 1;
-        rows.push(vec![
-            format!("{}_{}", t.bench, t.opt),
-            format!("{:.1}", old / 1e6),
-            format!("{:.1}", t.cycles_per_sec / 1e6),
-            format!("{ratio:.2}x"),
-        ]);
-    }
-    if count == 0 {
-        return;
-    }
-    println!();
-    println!("native engine vs committed baseline (Mcyc/s):");
-    println!();
-    println!(
-        "{}",
-        render_table(&["cell", "committed", "native", "speedup"], &rows)
-    );
-    println!(
-        "native speedup geomean: {:.2}x over {count} cells",
-        (log_sum / count as f64).exp()
-    );
-}
-
 fn main() -> ExitCode {
     let mut timings = Vec::new();
     for b in SUITE {
@@ -299,9 +250,7 @@ fn main() -> ExitCode {
     println!("wrote {path}");
     if let Some(baseline) = baseline {
         println!();
-        let gate = gate_against_baseline(&timings, &baseline);
-        print_native_speedup(&timings, &baseline);
-        if let Err(e) = gate {
+        if let Err(e) = gate_against_baseline(&timings, &baseline) {
             eprintln!("repro_perf: {e}");
             return ExitCode::FAILURE;
         }

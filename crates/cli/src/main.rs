@@ -63,10 +63,10 @@ const USAGE: &str = "usage:
   matic compile <file.m> --entry <fn> --sig <spec> [--target <json>] [--baseline] [-o <dir>]
   matic mir     <file.m> --entry <fn> --sig <spec> [--target <json>]
   matic cycles  <file.m> --entry <fn> --sig <spec> [--target <json>] [--seed <k>] [--max-cycles <N>]
-                [--engine tree|linear|native] [--profile] [--profile-json <path>]
+                [--engine tree|native] [--profile] [--profile-json <path>]
   matic targets [--dump <name>]
   matic explore [--benchmarks <ids>] [--widths <list>] [--scales <list>] [--n <size>]
-                [--seed <k>] [--max-cycles <N>] [--engine tree|linear|native]
+                [--seed <k>] [--max-cycles <N>] [--engine tree|native]
                 [--area-model <json>] [--json <out>] [--quick] [--resume <frontier.json>]
   matic discover [--frontier <json>] [--benchmarks <ids>] [--seed <k>] [--budget <evals>]
                 [--json <out>] [--quick]
@@ -86,9 +86,9 @@ annealing over ISA mutations plus automatic custom-instruction mining
 for real); writes a matic-discover-v1 document
 --max-cycles caps the simulated step budget (default 100000000); runaway
 programs stop with a fuel-exhaustion diagnostic instead of hanging
---engine picks the simulator implementation (default native, the fused
-direct-threaded engine); cycle counts are identical on every engine, only
-wall-clock differs
+--engine picks the simulator implementation: native (the default, the
+fused direct-threaded engine) or tree (the reference tree walker); cycle
+counts are identical on both, only wall-clock differs
 --profile prints a per-source-line cycle report for the optimized build;
 --profile-json writes the same data as a matic-profile-v1 JSON document
 --trace-passes (any command) prints per-pass wall-time and the

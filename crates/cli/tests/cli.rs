@@ -182,7 +182,7 @@ fn explore_rejects_unknown_benchmarks_and_bad_grids() {
     assert!(stderr_line(&out).contains("width"), "{}", stderr_line(&out));
 }
 
-/// All three engines must print byte-identical cycle reports: the engine
+/// Both engines must print byte-identical cycle reports: the engine
 /// choice is a wall-clock knob, never a semantics knob.
 #[test]
 fn cycles_report_is_identical_on_every_engine() {
@@ -204,7 +204,7 @@ fn cycles_report_is_identical_on_every_engine() {
          end\n",
     );
     let mut reports = Vec::new();
-    for engine in ["tree", "linear", "native"] {
+    for engine in ["tree", "native"] {
         let out = run(&[
             "cycles",
             file.to_str().unwrap(),
@@ -231,24 +231,28 @@ fn cycles_report_is_identical_on_every_engine() {
     }
 }
 
+/// `linear` names an engine that no longer exists; it is rejected like
+/// any other unknown name.
 #[test]
 fn unknown_engine_is_rejected() {
     let file = source_file("badengine", "function y = f(x)\ny = x;\nend\n");
-    let out = run(&[
-        "cycles",
-        file.to_str().unwrap(),
-        "--entry",
-        "f",
-        "--sig",
-        "s",
-        "--engine",
-        "warp",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    assert_eq!(
-        stderr_line(&out),
-        "matic: unknown engine `warp` (expected tree, linear, or native)"
-    );
+    for engine in ["warp", "linear"] {
+        let out = run(&[
+            "cycles",
+            file.to_str().unwrap(),
+            "--entry",
+            "f",
+            "--sig",
+            "s",
+            "--engine",
+            engine,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{engine}");
+        assert_eq!(
+            stderr_line(&out),
+            format!("matic: unknown engine `{engine}` (expected tree or native)")
+        );
+    }
 }
 
 #[test]

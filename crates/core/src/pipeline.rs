@@ -146,7 +146,7 @@ pub struct CodegenArtifact {
 /// from one compilation (and, through the stage cache, by every
 /// compilation of the same MIR): the pre-decoded instruction streams and
 /// the fused native-engine program. Both are built at most once, on first
-/// need — tree/linear-only callers never pay for superinstruction fusion.
+/// need — tree-only callers never pay for superinstruction fusion.
 #[derive(Debug, Default)]
 pub struct ExecShared {
     pub(crate) decoded: OnceLock<Arc<matic_asip::DecodedProgram>>,
@@ -476,7 +476,7 @@ impl Compiled {
     /// it happens lazily, inside the first [`matic_asip::Simulator::run`]
     /// that actually selects [`matic_asip::Engine::Native`], and the
     /// result is shared by every simulator spawned from this compilation.
-    /// Tree/linear-only callers never pay for fusion.
+    /// Tree-only callers never pay for fusion.
     pub fn simulator_for(&self, spec: Arc<IsaSpec>) -> matic_asip::Simulator<'_> {
         let mut machine = matic_asip::AsipMachine::from_shared(spec);
         if !self.opt.intrinsics {
@@ -645,9 +645,9 @@ mod tests {
 
     #[test]
     fn native_fusion_is_lazy() {
-        // Building simulators — and running the tree/linear engines —
-        // must not trigger superinstruction fusion; only the first
-        // native-engine run pays for it, once, shared per compilation.
+        // Building simulators — and running the tree engine — must not
+        // trigger superinstruction fusion; only the first native-engine
+        // run pays for it, once, shared per compilation.
         let src = "function s = dotp(a, b)\ns = sum(a .* b);\nend";
         let compiled = Compiler::new()
             .compile(src, "dotp", &[arg::vector(8), arg::vector(8)])
@@ -664,28 +664,20 @@ mod tests {
         sim.with_engine(matic_asip::Engine::Tree)
             .run(inputs())
             .expect("tree run ok");
-        compiled
-            .simulator()
-            .with_engine(matic_asip::Engine::Linear)
-            .run(inputs())
-            .expect("linear run ok");
-        assert!(
-            !compiled.native_is_built(),
-            "tree/linear runs must not fuse"
-        );
+        assert!(!compiled.native_is_built(), "tree runs must not fuse");
         let native = compiled
             .simulator()
             .with_engine(matic_asip::Engine::Native)
             .run(inputs())
             .expect("native run ok");
         assert!(compiled.native_is_built(), "native run builds the fusion");
-        let linear = compiled
+        let tree = compiled
             .simulator()
-            .with_engine(matic_asip::Engine::Linear)
+            .with_engine(matic_asip::Engine::Tree)
             .run(inputs())
-            .expect("linear rerun ok");
-        assert_eq!(native.cycles, linear.cycles);
-        assert_eq!(native.outputs, linear.outputs);
+            .expect("tree rerun ok");
+        assert_eq!(native.cycles, tree.cycles);
+        assert_eq!(native.outputs, tree.outputs);
     }
 
     #[test]

@@ -1,16 +1,19 @@
-//! The seven execution legs and their agreement oracle.
+//! The six execution legs and their agreement oracle.
 //!
 //! Every case runs on:
 //!
 //! 1. the reference interpreter (the oracle every other leg is compared
 //!    against),
-//! 2. the tree-walking ASIP simulator,
-//! 3. the pre-decoded linear simulator at full optimization,
-//! 4. the fused direct-threaded (native) simulator at full optimization,
-//! 5. the linear simulator at the scalar baseline level,
-//! 6. the native simulator at the scalar baseline level,
-//! 7. the generated C compiled by the host compiler with
-//!    `-DMATIC_BOUNDS_CHECK`.
+//! 2. the tree-walking ASIP simulator at full optimization,
+//! 3. the fused direct-threaded (native) simulator at full optimization,
+//! 4. the generated C compiled by the host compiler with
+//!    `-DMATIC_BOUNDS_CHECK`,
+//! 5. the tree-walking simulator at the scalar baseline level,
+//! 6. the native simulator at the scalar baseline level.
+//!
+//! Both opt levels run on both simulator engines, so each build is also
+//! checked on the tree walker, which shares no code with the native
+//! engine's decode and fusion stages.
 //!
 //! The C leg can be *skipped* — no host compiler, or a non-terminating
 //! program (the C runtime has no fuel meter) — and every skip is counted
@@ -28,7 +31,7 @@ use matic_benchkit::{from_interp, outputs_close, sim_to_cvalue, to_interp, to_si
 use matic_interp::{classify_message, ErrorKind};
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Statement budget for every engine. Generated terminating programs stay
 /// far below it; the injected `while 1` spin always exhausts it.
@@ -198,7 +201,7 @@ pub fn run_case(
     opts: &RunOptions,
 ) -> Result<CaseReport, String> {
     let inputs = stimulus(case);
-    let mut legs = Vec::with_capacity(7);
+    let mut legs = Vec::with_capacity(6);
 
     // Leg 1: the reference interpreter.
     let mut interp =
@@ -237,40 +240,34 @@ pub fn run_case(
             .compile(&case.src, ENTRY, &arg_tys)
             .map_err(|e| format!("{label} compile on `{}`: {e}", spec.name))?;
 
-        for engine in [Engine::Linear, Engine::Native] {
+        for engine in Engine::ALL {
             let run = compiled
                 .simulator()
                 .with_engine(engine)
                 .with_fuel(opts.fuel)
                 .run(sim_inputs.clone());
+            let engine = match engine {
+                Engine::Tree => "tree-walk",
+                Engine::Native => "native",
+            };
             legs.push(LegRun {
                 label: format!("{label}/{engine}"),
                 outcome: sim_outcome(run),
             });
         }
 
-        if label == "opt" {
-            let machine =
-                matic::AsipMachine::from_shared(Arc::clone(&compiled.spec)).with_fuel(opts.fuel);
-            let walked = machine.run_interpreted(&compiled.mir, ENTRY, sim_inputs.clone());
-            legs.push(LegRun {
-                label: "opt/tree-walk".into(),
-                outcome: sim_outcome(walked),
-            });
-
-            if c_status == CStatus::Ran {
-                match c_leg(case, &compiled, &inputs) {
-                    Ok(outcome) => legs.push(LegRun {
-                        label: "opt/C".into(),
-                        outcome,
-                    }),
-                    Err(e) => {
-                        // Toolchain trouble (e.g. a sandboxed cc) is a
-                        // skip, not a verdict: it is counted and
-                        // surfaced, never silently blessed.
-                        eprintln!("note: C leg skipped: {e}");
-                        c_status = CStatus::SkippedNoCompiler;
-                    }
+        if label == "opt" && c_status == CStatus::Ran {
+            match c_leg(case, &compiled, &inputs) {
+                Ok(outcome) => legs.push(LegRun {
+                    label: "opt/C".into(),
+                    outcome,
+                }),
+                Err(e) => {
+                    // Toolchain trouble (e.g. a sandboxed cc) is a skip,
+                    // not a verdict: it is counted and surfaced, never
+                    // silently blessed.
+                    eprintln!("note: C leg skipped: {e}");
+                    c_status = CStatus::SkippedNoCompiler;
                 }
             }
         }

@@ -145,6 +145,37 @@ fn served_cycles_matches_offline_report_bit_for_bit() {
     server.shutdown();
 }
 
+/// The `engine` field takes `tree` or `native`: both report byte-equal
+/// text, and the removed `linear` engine is a protocol error.
+#[test]
+fn cycles_engine_field_accepts_tree_and_native_only() {
+    let server = spawn();
+    let mut client = connect(&server);
+    let with_engine = |engine: &str| {
+        let mut req = gain_cycles_req();
+        if let Json::Obj(fields) = &mut req {
+            fields.push(("engine".to_string(), s(engine)));
+        }
+        req
+    };
+    let resp = client.request(&with_engine("linear")).unwrap();
+    let (kind, message, _) = error_of(&resp);
+    assert_eq!(kind, "protocol");
+    assert!(message.contains("expected tree or native"), "{message}");
+
+    let text = |resp: &Json| {
+        result(resp)
+            .get("text")
+            .and_then(Json::as_str)
+            .expect("text")
+            .to_string()
+    };
+    let tree = text(&client.request(&with_engine("tree")).unwrap());
+    let native = text(&client.request(&with_engine("native")).unwrap());
+    assert_eq!(tree, native);
+    server.shutdown();
+}
+
 #[test]
 fn repeated_requests_hit_the_stage_cache() {
     let server = spawn();

@@ -1,10 +1,10 @@
-//! Differential test for the pre-decoded execution engine: for every
-//! benchmark × opt-level × target cell, the linear engine (`run`, via the
-//! decode stage) must produce a bit-identical [`matic_asip::SimOutcome`] —
-//! outputs, printed text, total cycles, instruction count, and the full
-//! per-class cycle breakdown — to the original tree-walking interpreter
-//! (`run_interpreted`). The decode stage is a pure representation change;
-//! any divergence is a bug.
+//! Differential test for the native execution engine: for every
+//! benchmark × opt-level × target cell, the native engine (via the decode
+//! and fusion stages) must produce a bit-identical
+//! [`matic_asip::SimOutcome`] — outputs, printed text, total cycles,
+//! instruction count, and the full per-class cycle breakdown — to the
+//! tree-walking reference (`run_interpreted`). Decode and fusion are pure
+//! representation changes; any divergence is a bug.
 
 use matic::{Compiler, Engine, IsaSpec, OptLevel};
 use matic_asip::AsipMachine;
@@ -91,7 +91,7 @@ fn check_profiling_is_free(spec_name: &str, spec: IsaSpec, opt: OptLevel) {
             .unwrap_or_else(|e| panic!("{} [{spec_name}]: compile failed: {e}", b.id));
         let inputs: Vec<_> = b.inputs(n, 42).iter().map(to_sim).collect();
 
-        // Decoded engine: off vs on.
+        // Native engine: off vs on.
         let plain = compiled.simulator().run(inputs.clone()).unwrap();
         let profiled = compiled
             .simulator()
@@ -115,7 +115,7 @@ fn check_profiling_is_free(spec_name: &str, spec: IsaSpec, opt: OptLevel) {
         assert_eq!(
             (&plain.outputs, &plain.printed, &plain.cycles),
             (&profiled.outputs, &profiled.printed, &profiled.cycles),
-            "{} [{spec_name}]: profiling changed decoded-engine behavior",
+            "{} [{spec_name}]: profiling changed native-engine behavior",
             b.id
         );
 
@@ -200,7 +200,7 @@ fn decoded_engine_matches_tree_walker_scalar_full() {
 }
 
 /// Sweeps every fuel value from 0 to one past the program's full budget
-/// and checks that all three engines agree exactly on the outcome at each
+/// and checks that both engines agree exactly on the outcome at each
 /// value: same success/failure, same error kind, same message and span on
 /// failure, bit-identical outcome on success.
 ///
@@ -208,7 +208,7 @@ fn decoded_engine_matches_tree_walker_scalar_full() {
 /// and compiled chains subtract fuel for a whole block up front (after
 /// checking it is available) and otherwise fall back to per-op execution,
 /// so every fuel value that would exhaust *mid*-block must still report
-/// exhaustion at exactly the statement the linear engine would.
+/// exhaustion at exactly the statement the tree walker would.
 fn check_fuel_sweep(source: &str, entry: &str, sig: &[matic::Ty], opt: OptLevel) {
     let compiled = Compiler::new()
         .opt_level(opt)
